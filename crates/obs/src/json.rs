@@ -5,6 +5,10 @@
 //! (the trace binary re-parses everything it emits and fails loudly on
 //! malformed output). The dialect is plain RFC 8259 JSON; the writer never
 //! produces NaN/infinite numbers (they are mapped to `null`).
+//!
+//! The parser runs in time linear in its input and refuses documents
+//! nested deeper than [`MAX_DEPTH`], so hostile input (a `vmsim serve`
+//! request line) costs at most one pass and a bounded stack.
 
 use std::fmt::Write as _;
 
@@ -83,12 +87,20 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. Every artifact
+/// this workspace writes nests fewer than ten levels; the bound exists so
+/// that a hostile document is a [`ParseError`] instead of a stack overflow
+/// in the recursive descent.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document; trailing whitespace is allowed, trailing
-/// garbage is an error.
+/// garbage is an error, and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -100,8 +112,11 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -137,10 +152,25 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses one array or object one level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
+    }
+
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -205,13 +235,23 @@ impl<'a> Parser<'a> {
         self.expect(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
+            // Copy the whole run up to the next quote or backslash at once.
+            // Both delimiters are ASCII, so the run starts and ends on char
+            // boundaries of the `&str` input and is valid UTF-8 as sliced.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
+                    // A backslash: one escape sequence.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -233,15 +273,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape sequence")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }

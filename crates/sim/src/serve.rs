@@ -47,6 +47,11 @@
 //! `{"op": "status"}` adds the queue contents; `{"op": "drain"}` starts a
 //! graceful drain remotely.
 //!
+//! A request line longer than [`MAX_REQUEST_BYTES`], nested deeper than
+//! [`json::MAX_DEPTH`], or not JSON at all is refused as `invalid` and
+//! counted on `serve.invalid`: a connection thread never buffers more than
+//! the cap or recurses past the depth bound.
+//!
 //! The actual bound address is written to `<out>/serve.addr` (useful with
 //! `VMSIM_SERVE_BIND=127.0.0.1:0`), and removed again on clean exit.
 
@@ -73,8 +78,24 @@ use crate::journal::{self, Journal};
 /// Format version of the admission journal (`serve.jobs.jsonl`).
 const JOBS_VERSION: u64 = 1;
 
-/// How long the accept loop sleeps when no connection is pending.
+/// Longest the accept loop blocks in `poll(2)` before re-checking the
+/// SIGTERM flag and the drain deadline. A pending connection (or a signal
+/// delivered to the accepting thread) ends the wait at once; the timeout
+/// only bounds how late a drain, or a signal caught by another thread, is
+/// noticed.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
+
+/// Longest request line the server reads, newline included. The
+/// checked-in manifests are at most a few KB, so even a JSON-escaped
+/// submit of one is far below this; a longer line is refused as `invalid`
+/// instead of being buffered.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// How much more of an oversize line the server reads and discards after
+/// refusing it. Closing a socket with unread input resets the connection,
+/// which can destroy the refusal before a client that is still sending
+/// reads it; past this much, the reset is the answer.
+const OVERSIZE_DISCARD: u64 = 16 * MAX_REQUEST_BYTES as u64;
 
 /// Cadence of `running`/`queued` heartbeat lines to a waiting client.
 const WAIT_HEARTBEAT: Duration = Duration::from_secs(1);
@@ -90,9 +111,11 @@ static SIGTERM_DRAIN: AtomicBool = AtomicBool::new(false);
 /// Installs a SIGTERM handler that requests a graceful drain.
 ///
 /// The handler only stores into an `AtomicBool` (async-signal-safe); the
-/// accept loop polls the flag. `signal(2)` keeps `SA_RESTART` semantics,
-/// which is why the listener runs nonblocking instead of parking in
-/// `accept`.
+/// accept loop checks the flag each time its `poll(2)` returns. `signal(2)`
+/// keeps `SA_RESTART` semantics, which would resume a blocking `accept`
+/// after the handler, but `poll` is never restarted: a SIGTERM delivered
+/// to the accepting thread ends the wait with `EINTR`, and one delivered
+/// to another thread is seen when the wait times out, within 25 ms.
 #[cfg(unix)]
 pub fn install_sigterm_handler() {
     const SIGTERM: i32 = 15;
@@ -164,7 +187,9 @@ pub struct ServeStats {
     pub cache_hits: u64,
     /// Jobs that finished with quarantined cells.
     pub quarantined: u64,
-    /// Submissions rejected as invalid (unparseable or failing validation).
+    /// Requests refused as `invalid`: oversize, too deeply nested or
+    /// otherwise unparseable lines, unknown ops, and manifests failing
+    /// validation.
     pub invalid: u64,
     /// 1 while draining, else 0.
     pub draining: u64,
@@ -310,7 +335,8 @@ impl Shared {
     }
 }
 
-/// A bound listener, TCP or Unix, polled nonblocking.
+/// A bound listener, TCP or Unix. It is nonblocking, so `accept` never
+/// parks the loop; the loop waits for connections in [`Listener::wait`].
 enum Listener {
     Tcp(TcpListener),
     #[cfg(unix)]
@@ -330,6 +356,18 @@ impl Read for Stream {
             Stream::Tcp(s) => s.read(buf),
             #[cfg(unix)]
             Stream::Unix(s) => s.read(buf),
+        }
+    }
+}
+
+impl Stream {
+    /// Half-closes the connection: the client reads everything written so
+    /// far, then end of stream.
+    fn shutdown_write(&self) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Write),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.shutdown(std::net::Shutdown::Write),
         }
     }
 }
@@ -394,6 +432,51 @@ impl Listener {
             #[cfg(unix)]
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
         }
+    }
+
+    /// Blocks until a connection is pending, a signal interrupts the wait,
+    /// or `timeout` passes. All three mean the same to the caller — go
+    /// round the accept loop again — so the outcome is not reported.
+    #[cfg(unix)]
+    fn wait(&self, timeout: Duration) {
+        use std::os::fd::AsRawFd;
+
+        #[repr(C)]
+        struct PollFd {
+            fd: i32,
+            events: i16,
+            revents: i16,
+        }
+        const POLLIN: i16 = 0x1;
+        #[cfg(any(target_os = "linux", target_os = "android"))]
+        type Nfds = std::os::raw::c_ulong;
+        #[cfg(not(any(target_os = "linux", target_os = "android")))]
+        type Nfds = std::os::raw::c_uint;
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+        }
+
+        let fd = match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l, _) => l.as_raw_fd(),
+        };
+        let mut pfd = PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        };
+        let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // SAFETY: `pfd` is one valid, exclusively borrowed pollfd for the
+        // duration of the call, and `fd` stays open while `self` lives.
+        unsafe {
+            poll(&mut pfd, 1, timeout_ms);
+        }
+    }
+
+    /// Without a `poll(2)` binding, the wait is the timeout itself.
+    #[cfg(not(unix))]
+    fn wait(&self, timeout: Duration) {
+        std::thread::sleep(timeout);
     }
 }
 
@@ -563,8 +646,11 @@ impl Server {
                         .spawn(move || handle_conn(&shared, stream));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
+                    self.listener.wait(ACCEPT_POLL);
                 }
+                // An accept error (out of descriptors, say) leaves the
+                // connection pending, so waiting on the listener would
+                // return at once: back off instead of spinning.
                 Err(_) => std::thread::sleep(ACCEPT_POLL),
             }
         }
@@ -885,17 +971,45 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
         }
     }
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
+    let mut line = Vec::new();
+    if (&mut reader)
+        .take(MAX_REQUEST_BYTES as u64)
+        .read_until(b'\n', &mut line)
+        .is_err()
+    {
+        return;
+    }
+    if line.len() == MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+        refuse_invalid(
+            shared,
+            reader.get_mut(),
+            &format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
+        );
+        // Read past the rest of the line so the close does not reset the
+        // connection under a client still sending it.
+        let _ = reader.get_mut().shutdown_write();
+        let _ = (&mut reader).take(OVERSIZE_DISCARD).skip_until(b'\n');
         return;
     }
     let stream = reader.get_mut();
-    let Ok(doc) = json::parse(line.trim()) else {
-        let _ = writeln!(
-            stream,
-            "{{\"ok\": false, \"error\": \"invalid\", \"message\": \"request is not a JSON object\"}}"
-        );
+    let Ok(text) = std::str::from_utf8(&line) else {
+        refuse_invalid(shared, stream, "request is not UTF-8");
         return;
+    };
+    let text = text.trim();
+    if text.is_empty() {
+        return;
+    }
+    let doc = match json::parse(text) {
+        Ok(doc) => doc,
+        Err(e) => {
+            refuse_invalid(
+                shared,
+                stream,
+                &format!("request is not a JSON object: {e}"),
+            );
+            return;
+        }
     };
     match doc.get("op").and_then(|o| o.as_str()) {
         Some("submit") => handle_submit(shared, stream, &doc),
@@ -910,14 +1024,23 @@ fn handle_conn(shared: &Arc<Shared>, stream: Stream) {
             shared.work_cv.notify_all();
             let _ = writeln!(stream, "{{\"ok\": true, \"state\": \"draining\"}}");
         }
-        _ => {
-            let _ = writeln!(
-                stream,
-                "{{\"ok\": false, \"error\": \"invalid\", \"message\": \"unknown op (want submit|status|health|drain)\"}}"
-            );
-        }
+        _ => refuse_invalid(
+            shared,
+            stream,
+            "unknown op (want submit|status|health|drain)",
+        ),
     }
     let _ = stream.flush();
+}
+
+/// Answers with the typed `invalid` refusal and counts it on
+/// `serve.invalid`.
+fn refuse_invalid(shared: &Shared, stream: &mut Stream, msg: &str) {
+    shared.counters.lock().expect("counters lock").invalid += 1;
+    let mut line = String::from("{\"ok\": false, \"error\": \"invalid\", \"message\": ");
+    json::write_str(&mut line, msg);
+    line.push('}');
+    let _ = writeln!(stream, "{line}");
 }
 
 /// The health/readiness probe line: drain state plus the full `serve.*`
@@ -1069,27 +1192,19 @@ pub fn client_request(bind: &ServeBind, op: &str) -> Result<String, String> {
 }
 
 fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, doc: &Json) {
-    let invalid = |stream: &mut Stream, shared: &Shared, msg: &str| {
-        shared.counters.lock().expect("counters lock").invalid += 1;
-        let mut line = String::from("{\"ok\": false, \"error\": \"invalid\", \"message\": ");
-        json::write_str(&mut line, msg);
-        line.push('}');
-        let _ = writeln!(stream, "{line}");
-    };
-
     let Some(text) = doc.get("manifest_json").and_then(|m| m.as_str()) else {
-        invalid(stream, shared, "submit needs a manifest_json string field");
+        refuse_invalid(shared, stream, "submit needs a manifest_json string field");
         return;
     };
     let manifest = match ExperimentManifest::from_json(text) {
         Ok(m) => m,
         Err(e) => {
-            invalid(stream, shared, &e.to_string());
+            refuse_invalid(shared, stream, &e.to_string());
             return;
         }
     };
     if let Err(e) = manifest.validate() {
-        invalid(stream, shared, &e.to_string());
+        refuse_invalid(shared, stream, &e.to_string());
         return;
     }
     let wait = doc.get("wait").and_then(Json::as_bool).unwrap_or(false);

@@ -13,7 +13,12 @@
 //! * `drain` finishes the in-flight job, answers queued jobs `deferred`,
 //!   exits 0, and the deferred work is recovered by the next server start
 //!   from the admission journal;
-//! * malformed requests and unknown ops get the typed `invalid` answer;
+//! * malformed requests and unknown ops get the typed `invalid` answer,
+//!   and so do oversize and too deeply nested lines, after which the
+//!   server keeps serving; every such refusal counts on `serve.invalid`;
+//! * a request is picked up as soon as it arrives: cache hits answer in
+//!   well under the accept loop's re-check interval, and an idle server
+//!   drains promptly;
 //! * `health`/`status` expose the full `serve.*` gauge group.
 
 use std::io::{BufRead, BufReader, Write};
@@ -24,6 +29,7 @@ use std::time::{Duration, Instant};
 use vmsim_config::{builtin, ExperimentManifest, ServeBind};
 use vmsim_obs::json::{self, Json};
 use vmsim_sim::driver::{run_supervised, Supervisor};
+use vmsim_sim::serve::MAX_REQUEST_BYTES;
 use vmsim_sim::{artifacts, ServeConfig, Server};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -66,8 +72,13 @@ impl Running {
 
 /// One request line, one response line (health/status/drain/rejections).
 fn request_line(addr: &str, req: &str) -> String {
+    request_bytes(addr, req.as_bytes())
+}
+
+/// [`request_line`] for a request that need not be UTF-8.
+fn request_bytes(addr: &str, req: &[u8]) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(req.as_bytes()).expect("send request");
+    stream.write_all(req).expect("send request");
     stream.write_all(b"\n").expect("send newline");
     let mut line = String::new();
     BufReader::new(stream)
@@ -219,7 +230,8 @@ fn full_queue_rejects_with_typed_overloaded_response() {
 }
 
 /// Unknown ops, unparseable requests, and manifests that fail validation
-/// all get the typed `invalid` answer (and count on the `invalid` gauge).
+/// all get the typed `invalid` answer, and each counts on the `invalid`
+/// gauge.
 #[test]
 fn malformed_requests_get_typed_invalid_responses() {
     let out = scratch("invalid");
@@ -238,9 +250,97 @@ fn malformed_requests_get_typed_invalid_responses() {
     let resp = request_line(&run.addr, &bad_manifest);
     assert!(resp.contains("\"error\": \"invalid\""), "{resp}");
 
+    let not_utf8 = request_bytes(&run.addr, b"{\"op\": \"\xff\"}");
+    assert!(not_utf8.contains("\"error\": \"invalid\""), "{not_utf8}");
+
     let health = json::parse(&request_line(&run.addr, "{\"op\": \"health\"}")).expect("health");
-    assert!(gauge(&health, "invalid").is_some_and(|n| n >= 1));
+    assert_eq!(gauge(&health, "invalid"), Some(4));
     assert_eq!(run.drain(), 0);
+}
+
+/// Lines past the request-size cap or the parser's depth bound are
+/// refused as `invalid` — the 2,000,000-bracket line that used to
+/// overflow a connection thread's stack included — and the server keeps
+/// answering afterwards. A client still sending a line several times the
+/// cap when the refusal goes out receives the refusal, not a reset.
+#[test]
+fn oversize_and_deeply_nested_lines_are_refused_and_the_server_keeps_serving() {
+    let out = scratch("hostile");
+    let run = start(&config(&out, 8));
+
+    let brackets = "[".repeat(2_000_000);
+    let oversize = " ".repeat(8 * MAX_REQUEST_BYTES);
+    let deep = format!(
+        "{{\"op\": \"health\", \"x\": {}{}}}",
+        "[".repeat(10_000),
+        "]".repeat(10_000)
+    );
+    for (what, req) in [
+        ("2,000,000 brackets", &brackets),
+        ("oversize", &oversize),
+        ("too deep", &deep),
+    ] {
+        let resp = request_line(&run.addr, req);
+        let doc = json::parse(&resp).unwrap_or_else(|e| panic!("{what}: {e}: {resp}"));
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false), "{what}");
+        assert_eq!(
+            doc.get("error").and_then(|e| e.as_str()),
+            Some("invalid"),
+            "{what}"
+        );
+    }
+
+    // A line of exactly the cap, newline included, is still read whole.
+    let padded = format!(
+        "{{\"op\": \"health\"}}{}",
+        " ".repeat(MAX_REQUEST_BYTES - 1 - "{\"op\": \"health\"}".len())
+    );
+    let health = json::parse(&request_line(&run.addr, &padded)).expect("health at the cap");
+    assert_eq!(state_of(&health), Some("ready"));
+    assert_eq!(gauge(&health, "invalid"), Some(3));
+    assert_eq!(run.drain(), 0);
+}
+
+/// Back-to-back cache hits are answered as soon as they arrive: the median
+/// round trip sits far below the 25 ms the accept loop used to sleep
+/// between connections.
+#[test]
+fn cache_hits_are_answered_without_an_accept_delay() {
+    let out = scratch("hitlatency");
+    let run = start(&config(&out, 8));
+    let m = builtin::smoke();
+    assert_eq!(state_of(&submit_and_wait(&run.addr, &m)), Some("done"));
+
+    let request = submit_request(&m, false);
+    let mut round_trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t0 = Instant::now();
+            let resp = request_line(&run.addr, &request);
+            let elapsed = t0.elapsed();
+            assert!(resp.contains("\"cached\": true"), "{resp}");
+            elapsed
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median cache-hit round trip {median:?} (all: {round_trips:?})"
+    );
+    assert_eq!(run.drain(), 0);
+}
+
+/// `drain` on a server with nothing in flight exits 0 without waiting out
+/// the drain budget.
+#[test]
+fn drain_on_an_idle_server_exits_promptly() {
+    let out = scratch("idledrain");
+    let run = start(&config(&out, 8));
+    let t0 = Instant::now();
+    assert_eq!(run.drain(), 0);
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(2), "idle drain took {took:?}");
+    assert!(!out.join("serve.addr").exists(), "endpoint file removed");
 }
 
 /// `health` and `status` expose the whole `serve.*` gauge group; `status`
