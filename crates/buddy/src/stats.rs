@@ -1,12 +1,10 @@
 //! Counters exposed by the buddy allocator.
 
-use serde::{Deserialize, Serialize};
-
 /// Cumulative activity counters of a [`crate::BuddyAllocator`].
 ///
 /// `allocated_frames` is a *gauge* (current outstanding frames); all other
 /// fields are monotonically increasing counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuddyStats {
     /// Successful allocation calls (any order).
     pub allocs: u64,

@@ -4,11 +4,10 @@
 //! E5-2630v4 (Broadwell). Per-core L1D 32 KB/8-way and L2 256 KB/8-way,
 //! shared LLC 25 MB/20-way, L1 DTLB 64-entry/4-way, STLB 1536-entry/12-way.
 
-use serde::{Deserialize, Serialize};
 use vmsim_types::CACHE_LINE_SIZE;
 
 /// Geometry of one set-associative cache level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets (must be a power of two).
     pub sets: usize,
@@ -45,7 +44,7 @@ impl CacheConfig {
 /// Values are the load-to-use latencies commonly reported for Broadwell-class
 /// parts; only the *relative* spread matters for reproducing the paper's
 /// trends (a DRAM access is ~5× an LLC hit and ~50× an L1 hit).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LatencyModel {
     /// L1 hit latency.
     pub l1: u64,
@@ -69,7 +68,7 @@ impl Default for LatencyModel {
 }
 
 /// TLB geometry (two levels).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TlbConfig {
     /// L1 DTLB entries.
     pub l1_entries: usize,
@@ -93,7 +92,7 @@ impl Default for TlbConfig {
 }
 
 /// Page-walk-cache and nested-TLB geometry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PwcConfig {
     /// Entries per guest-PT intermediate level cache (levels 0..=2).
     pub guest_entries: usize,
@@ -114,7 +113,7 @@ impl Default for PwcConfig {
 }
 
 /// Full hierarchy configuration: per-core private levels plus shared LLC.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// Number of simulated cores (each gets a private L1 + L2).
     pub cores: usize,

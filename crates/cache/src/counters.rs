@@ -6,12 +6,10 @@
 //! through [`crate::CacheHierarchy`] is tagged with an [`AccessKind`] so the
 //! simulator can report exactly those rows.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hierarchy::HitLevel;
 
 /// Which page table an access belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PtKind {
     /// Guest page table (gPT) node.
     Guest,
@@ -20,7 +18,7 @@ pub enum PtKind {
 }
 
 /// Classification of a memory access for accounting purposes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Application data (or instruction) access.
     Data,
@@ -52,7 +50,7 @@ impl AccessKind {
 }
 
 /// Hit/miss/cycle tallies for one access kind.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KindCounters {
     /// Total accesses of this kind.
     pub accesses: u64,
@@ -104,7 +102,7 @@ impl KindCounters {
 ///
 /// The accessor methods correspond 1:1 to the rows of the paper's Tables 1
 /// and 4.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemCounters {
     /// Application data accesses.
     pub data: KindCounters,

@@ -7,7 +7,6 @@
 //! reproducing hit/miss behaviour of PTE lines, which is the quantity the
 //! paper's phenomenon depends on.
 
-use serde::{Deserialize, Serialize};
 use vmsim_types::HostPhysAddr;
 
 use crate::config::HierarchyConfig;
@@ -15,7 +14,7 @@ use crate::counters::{AccessKind, MemCounters};
 use crate::set_assoc::SetAssoc;
 
 /// The level of the hierarchy that served an access.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum HitLevel {
     /// Served by the private L1.
     L1,

@@ -4,8 +4,6 @@
 //! tail behaviour (the THP first-touch spike, DRAM-bound walks) is
 //! observable, not just averages.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of power-of-two buckets (covers values up to 2^47).
 const BUCKETS: usize = 48;
 
@@ -27,7 +25,7 @@ const BUCKETS: usize = 48;
 /// assert!(h.percentile(0.5) < 16);
 /// assert_eq!(h.max(), 480);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,

@@ -23,9 +23,9 @@
 //! warns once per process on use.
 //!
 //! Parsers are strict: a set-but-malformed value is an [`EnvError`], never a
-//! silent fallback to the default. Callers that cannot fail (Criterion
-//! benches, the worker pool) use the `*_or` lenient wrappers, which warn
-//! once on stderr before falling back. `vmsim validate` surfaces the same
+//! silent fallback to the default. Callers that cannot fail (the worker
+//! pool) use the lenient wrappers, which warn once on stderr before
+//! falling back. `vmsim validate` surfaces the same
 //! errors via [`check`].
 
 use std::sync::Once;
@@ -206,20 +206,6 @@ pub fn measure_ops() -> Result<Option<u64>, EnvError> {
         });
     }
     Ok(Some(n))
-}
-
-/// Lenient wrapper over [`measure_ops`] for infallible call sites
-/// (Criterion benches): a malformed value warns once and yields `default`.
-pub fn measure_ops_or(default: u64) -> u64 {
-    static MALFORMED: Once = Once::new();
-    match measure_ops() {
-        Ok(Some(n)) => n,
-        Ok(None) => default,
-        Err(e) => {
-            warn_once(&MALFORMED, &format!("ignoring malformed {e}"));
-            default
-        }
-    }
 }
 
 /// Worker-pool override: `VMSIM_THREADS`. `None` means "one worker per
@@ -637,7 +623,6 @@ mod tests {
         // Malformed values are errors, not silent defaults.
         std::env::set_var(VAR_OPS, "lots");
         assert!(measure_ops().is_err());
-        assert_eq!(measure_ops_or(77), 77);
         std::env::set_var(VAR_OPS, "0");
         assert!(measure_ops().is_err());
 

@@ -836,9 +836,8 @@ impl ExperimentManifest {
                 .iter()
                 .enumerate()
                 .map(|(i, s)| {
-                    s.as_u64().ok_or_else(|| {
-                        ManifestError::new(format!("$.seeds[{i}]"), "expected an unsigned integer")
-                    })
+                    exact_u64(s)
+                        .ok_or_else(|| ManifestError::new(format!("$.seeds[{i}]"), EXPECTED_UINT))
                 })
                 .collect::<Result<Vec<_>>>()?,
             measure_ops: get_u64(&doc, "$", "measure_ops")?,
@@ -1275,10 +1274,21 @@ fn get_str(node: &Json, ctx: &str, key: &str) -> Result<String> {
         .ok_or_else(|| ManifestError::new(format!("{ctx}.{key}"), "expected a string"))
 }
 
+/// The largest integer a JSON number (an IEEE double) carries exactly.
+/// The parser refuses larger integers instead of silently rounding them,
+/// so every manifest it accepts serializes back to itself.
+pub const MAX_JSON_INT: u64 = (1 << 53) - 1;
+
+const EXPECTED_UINT: &str = "expected an unsigned integer no larger than 2^53 - 1";
+
+/// An unsigned integer within [`MAX_JSON_INT`], or `None`.
+fn exact_u64(v: &Json) -> Option<u64> {
+    v.as_u64().filter(|&n| n <= MAX_JSON_INT)
+}
+
 fn get_u64(node: &Json, ctx: &str, key: &str) -> Result<u64> {
-    field(node, key)?
-        .as_u64()
-        .ok_or_else(|| ManifestError::new(format!("{ctx}.{key}"), "expected an unsigned integer"))
+    exact_u64(field(node, key)?)
+        .ok_or_else(|| ManifestError::new(format!("{ctx}.{key}"), EXPECTED_UINT))
 }
 
 /// Range-checked 32-bit read: a value beyond `u32::MAX` is a validation
@@ -1308,11 +1318,8 @@ fn get_arr<'a>(node: &'a Json, ctx: &str, key: &str) -> Result<&'a [Json]> {
 fn get_opt_u64(node: &Json, ctx: &str, key: &str) -> Result<Option<u64>> {
     match field(node, key)? {
         Json::Null => Ok(None),
-        v => v.as_u64().map(Some).ok_or_else(|| {
-            ManifestError::new(
-                format!("{ctx}.{key}"),
-                "expected an unsigned integer or null",
-            )
+        v => exact_u64(v).map(Some).ok_or_else(|| {
+            ManifestError::new(format!("{ctx}.{key}"), format!("{EXPECTED_UINT}, or null"))
         }),
     }
 }

@@ -1,18 +1,14 @@
-//! Ablation variants of PTEMagnet's design choices.
+//! Ablation variant of PTEMagnet's reservation granularity.
 //!
-//! The paper fixes two design parameters with geometric arguments:
-//! the 8-page reservation granularity (§4.1: eight 8-byte PTEs fill one
-//! 64-byte cache line) and fine-grained per-node PaRT locking (§4.2).
-//! These variants let the `vmsim-bench` ablation benches quantify both
-//! choices empirically.
+//! The paper fixes the 8-page reservation granularity with a geometric
+//! argument (§4.1: eight 8-byte PTEs fill one 64-byte cache line). The
+//! `granular:N` policy (see [`crate::registry`]) runs the same workloads
+//! with other group sizes to test that choice empirically.
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
 use vmsim_os::{AllocCost, GuestBuddy, GuestFrameAllocator, Pid};
 use vmsim_types::{GuestFrame, GuestVirtPage, Result};
-
-use crate::part::{PaRt, ReleaseOutcome, TakeOutcome};
 
 /// A reservation allocator with configurable group size (1, 2, 4, 8, or 16
 /// pages), for the granularity ablation.
@@ -178,41 +174,6 @@ impl GuestFrameAllocator for GranularReservationAllocator {
     }
 }
 
-/// A PaRT with one global lock instead of per-node locks, for the locking
-/// ablation (§4.2 argues fine-grained locking is needed for concurrently
-/// faulting threads).
-///
-/// Wraps the real [`PaRt`] behind a single [`Mutex`], serializing all
-/// operations the way a naive implementation would.
-#[derive(Debug, Default)]
-pub struct GlobalLockPart {
-    inner: Mutex<PaRt>,
-}
-
-impl GlobalLockPart {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fully serialized [`PaRt::take_or_install`].
-    pub fn take_or_install(
-        &self,
-        group: u64,
-        offset: u64,
-        chunk_factory: impl FnOnce() -> Option<GuestFrame>,
-    ) -> TakeOutcome {
-        self.inner
-            .lock()
-            .take_or_install(group, offset, chunk_factory)
-    }
-
-    /// Fully serialized [`PaRt::release`].
-    pub fn release(&self, group: u64, offset: u64) -> ReleaseOutcome {
-        self.inner.lock().release(group, offset)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,19 +251,6 @@ mod tests {
                     .unwrap();
             }
             assert_eq!(buddy.free_frames(), 256, "order {order} leaks");
-        }
-    }
-
-    #[test]
-    fn global_lock_part_matches_part_semantics() {
-        let g = GlobalLockPart::new();
-        let r = g.take_or_install(3, 1, || Some(GuestFrame::new(8)));
-        assert_eq!(r, TakeOutcome::FromNewReservation(GuestFrame::new(9)));
-        let r = g.take_or_install(3, 2, || None);
-        assert_eq!(r, TakeOutcome::FromReservation(GuestFrame::new(10)));
-        match g.release(3, 1) {
-            ReleaseOutcome::Released { entry_deleted, .. } => assert!(!entry_deleted),
-            other => panic!("unexpected {other:?}"),
         }
     }
 }

@@ -56,7 +56,7 @@ pub mod registry;
 pub mod reservation;
 mod sync;
 
-pub use ablation::{GlobalLockPart, GranularReservationAllocator};
+pub use ablation::GranularReservationAllocator;
 pub use baselines::{CaPagingLike, ThpAllocator};
 pub use metrics::fragmentation_comparison;
 pub use part::{PaRt, ReleaseOutcome, Reservation, TakeOutcome};

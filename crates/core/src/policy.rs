@@ -8,10 +8,8 @@
 //! finds PTEMagnet never slows anything down, so [`EnablePolicy::Always`] is
 //! a safe default.
 
-use serde::{Deserialize, Serialize};
-
 /// When to use reservation-based allocation for a process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum EnablePolicy {
     /// Reserve for every process (the paper's evaluated configuration).
     #[default]

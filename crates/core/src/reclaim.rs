@@ -7,7 +7,6 @@
 //! `free()` — no page-table updates, no TLB flushes, no page locking — so it
 //! cannot cause the latency anomalies of THP/superpage demotion.
 
-use serde::{Deserialize, Serialize};
 use vmsim_os::GuestOs;
 
 /// Configuration and driver for reservation reclamation.
@@ -23,7 +22,7 @@ use vmsim_os::GuestOs;
 /// // Plenty of free memory: the daemon stays idle.
 /// assert_eq!(daemon.run(&mut guest), 0);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReclaimDaemon {
     /// Wake the daemon when the free fraction of guest memory falls below
     /// this value (e.g. 0.1 = reclaim when less than 10 % is free).

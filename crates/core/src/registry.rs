@@ -1,7 +1,7 @@
 //! The allocation-policy registry: named policies → allocators.
 //!
 //! Every experiment-facing layer (manifests, the `vmsim` CLI, the scenario
-//! driver, the ablation benches) selects allocators by **name** through
+//! driver) selects allocators by **name** through
 //! [`resolve`], so adding a policy means adding one arm here — not a new
 //! enum variant in the harness and not a new binary.
 //!

@@ -1,9 +1,9 @@
 //! Minimal JSON writer helpers and recursive-descent parser.
 //!
 //! The build environment has no `serde_json`, so the observability layer
-//! hand-writes its JSON and carries its own parser for schema sanity checks
-//! (the trace binary re-parses everything it emits and fails loudly on
-//! malformed output). The dialect is plain RFC 8259 JSON; the writer never
+//! hand-writes its JSON and carries its own parser, which reads manifests,
+//! journals and server requests and re-checks every JSON artifact `vmsim run`
+//! writes. The dialect is plain RFC 8259 JSON; the writer never
 //! produces NaN/infinite numbers (they are mapped to `null`).
 //!
 //! The parser runs in time linear in its input and refuses documents

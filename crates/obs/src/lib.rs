@@ -17,9 +17,8 @@
 //!    phase, exported as profile JSON and folded stacks. Gated on
 //!    `Option<Profiler>` like the tracer, so disabled costs one branch.
 //!
-//! The crate is dependency-free apart from the (vendored) `serde` marker
-//! derives and includes a minimal JSON parser ([`json`]) used for schema
-//! sanity checks of its own output.
+//! The crate is dependency-free and includes a minimal JSON parser
+//! ([`json`]) that reads its own output and the manifests.
 
 pub mod json;
 pub mod metric;
@@ -31,19 +30,3 @@ pub use metric::{delta, Delta, Metric, MetricSource, Registry, Snapshot, Value};
 pub use prof::{Phase, PhaseProfile, PhaseTotals, Profiler, PHASE_COUNT};
 pub use series::TimeSeries;
 pub use trace::{Event, EventKind, Tracer, DEFAULT_CAPACITY};
-
-/// Compile-time proof that the vendored serde derive emits real marker
-/// impls (a regression here breaks `T: Serialize` bounds downstream).
-#[allow(dead_code)]
-fn assert_serde_impls() {
-    fn serializable<T: serde::Serialize>() {}
-    fn deserializable<T: serde::de::DeserializeOwned>() {}
-    serializable::<Snapshot>();
-    serializable::<Delta>();
-    serializable::<Event>();
-    serializable::<TimeSeries>();
-    serializable::<PhaseProfile>();
-    deserializable::<Snapshot>();
-    deserializable::<Event>();
-    deserializable::<PhaseProfile>();
-}

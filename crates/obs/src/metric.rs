@@ -7,10 +7,9 @@
 //! and supports `delta(a, b)` between two snapshots of the same machine.
 
 use crate::json;
-use serde::{Deserialize, Serialize};
 
 /// A metric value: monotonic/gauge counters are `U64`, derived ratios `F64`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Value {
     U64(u64),
     F64(f64),
@@ -43,7 +42,7 @@ impl Value {
 }
 
 /// One named metric.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Metric {
     pub name: String,
     pub value: Value,
@@ -141,7 +140,7 @@ impl Registry {
 }
 
 /// An owned, name-sorted set of metrics at one point in simulated time.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     /// Simulated-op clock at capture time (monotonic within a run).
     pub op: u64,
@@ -251,7 +250,7 @@ impl Snapshot {
 }
 
 /// A per-metric difference between two snapshots of the same machine.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Delta {
     /// Ops elapsed between the two snapshots.
     pub ops: u64,

@@ -18,12 +18,11 @@
 //! `cycles` and `enters` columns are deterministic and safe to diff.
 
 use crate::json;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// A static phase ID. The discriminant indexes the accumulator arrays.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Phase {
     /// TLB lookup on the translation fast path.
@@ -201,7 +200,7 @@ impl Profiler {
 }
 
 /// Accumulated totals for one phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PhaseTotals {
     pub phase: Phase,
     /// Wall-clock self-time (informational; varies run to run).
@@ -214,7 +213,7 @@ pub struct PhaseTotals {
 
 /// The exported result of one profiled run: per-phase totals plus the
 /// externally measured wall time of the attributed window.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PhaseProfile {
     /// Caller-measured wall time of the profiled window, in ns.
     pub total_wall_ns: u64,

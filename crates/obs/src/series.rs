@@ -5,10 +5,9 @@
 //! rate over time, walk latency over time).
 
 use crate::metric::{Delta, Snapshot, Value};
-use serde::{Deserialize, Serialize};
 
 /// Snapshots in capture order (ops monotonically non-decreasing).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TimeSeries {
     pub samples: Vec<Snapshot>,
 }

@@ -6,14 +6,13 @@
 //! `RunMetrics` bit-identical whether or not a tracer is installed.
 
 use crate::json;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// A typed simulator event. Field meanings:
 /// `pid` — guest process id; `vpn` — guest virtual page number;
 /// `gfn` — guest frame number; cycle costs are simulated cycles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// A guest page fault was served (minor fault or CoW break).
     PageFault {
@@ -194,7 +193,7 @@ impl EventKind {
 }
 
 /// An event stamped with the monotonic simulated-op clock.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Event {
     pub op: u64,
     pub kind: EventKind,

@@ -8,10 +8,8 @@
 //! falls out of the relative cost of `buddy_call_cycles` vs
 //! `part_lookup_cycles`.
 
-use serde::{Deserialize, Serialize};
-
 /// Cycle costs of software memory-management events.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostModel {
     /// Fixed cost of taking a guest page fault (trap + handler entry/exit).
     pub guest_fault_cycles: u64,

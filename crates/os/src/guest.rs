@@ -14,7 +14,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use vmsim_buddy::BuddyAllocator;
 use vmsim_pt::Pte;
 use vmsim_types::{GuestFrame, GuestVirtAddr, GuestVirtPage, MemError, Result, PT_ENTRIES};
@@ -26,7 +25,7 @@ use crate::process::{Pid, Process};
 pub type GuestBuddy = BuddyAllocator<GuestFrame>;
 
 /// Software cost of serving one allocation, for the §6.4 latency model.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AllocCost {
     /// Calls into the buddy allocator.
     pub buddy_calls: u32,
@@ -227,7 +226,7 @@ pub struct FaultInfo {
 }
 
 /// Cumulative guest-kernel event counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GuestStats {
     /// Page faults served.
     pub faults: u64,

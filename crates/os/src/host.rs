@@ -7,7 +7,6 @@
 //! the host's own page table — the "host PT" whose cache footprint the paper
 //! is about.
 
-use serde::{Deserialize, Serialize};
 use vmsim_buddy::BuddyAllocator;
 use vmsim_pt::{PageTable, WalkPath};
 use vmsim_types::{GuestFrame, HostFrame, HostVirtPage, MemError, Result};
@@ -15,7 +14,7 @@ use vmsim_types::{GuestFrame, HostFrame, HostVirtPage, MemError, Result};
 use crate::frames::FrameRefTable;
 
 /// Host-kernel event counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HostStats {
     /// Host-side (EPT-violation-style) faults served.
     pub faults: u64,

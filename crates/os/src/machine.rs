@@ -11,7 +11,6 @@
 //! page-walk caches and the nested TLB short-circuit most upper-level
 //! accesses exactly as hardware does, leaving leaf PTE fetches dominant.
 
-use serde::{Deserialize, Serialize};
 use vmsim_buddy::FragmentationIndex;
 use vmsim_cache::{
     AccessKind, CacheHierarchy, HierarchyConfig, Histogram, PageWalkCaches, PwcConfig, Tlb,
@@ -30,7 +29,7 @@ use crate::host::HostOs;
 use crate::process::Pid;
 
 /// Full machine configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MachineConfig {
     /// Guest-physical frames (VM RAM size in pages).
     pub guest_frames: u64,
@@ -148,7 +147,7 @@ impl MemoSlot {
 /// Counters of the memo layer, reported separately from
 /// [`Machine::metrics_snapshot`] so memoization stays invisible to the
 /// simulation's observable state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Touches replayed from a memo slot (full fingerprint validation).
     pub hits: u64,

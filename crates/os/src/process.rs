@@ -1,15 +1,12 @@
 //! Guest processes.
 
-use serde::{Deserialize, Serialize};
 use vmsim_pt::PageTable;
 use vmsim_types::{GuestFrame, GuestVirtPage};
 
 use crate::vma::VmaSet;
 
 /// A guest process identifier (also used as the TLB ASID).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Pid(pub u64);
 
 impl core::fmt::Display for Pid {

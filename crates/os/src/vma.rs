@@ -4,11 +4,10 @@
 //! physical memory lazily on first touch (paper §2.2). A [`VmaSet`] models
 //! the eager half: contiguous, non-overlapping page ranges per process.
 
-use serde::{Deserialize, Serialize};
 use vmsim_types::{GuestVirtPage, MemError, Result};
 
 /// One contiguous region of a process's virtual address space.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Vma {
     /// First page of the region.
     pub start: GuestVirtPage,
@@ -36,7 +35,7 @@ impl Vma {
 }
 
 /// The ordered, non-overlapping set of VMAs of one process.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct VmaSet {
     /// Regions sorted by start page.
     regions: Vec<Vma>,

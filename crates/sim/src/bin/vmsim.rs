@@ -39,7 +39,7 @@
 //! when the server refuses (overloaded, draining, journal unavailable) or
 //! defers the job. `--health`/`--status`/`--drain` send bare probe ops.
 //!
-//! `perf` runs the pinned bench-core cells and appends a stamped entry to
+//! `perf` runs the pinned perf cells and appends a stamped entry to
 //! the checked-in perf trajectory (`BENCH_trajectory.json`); `--check`
 //! instead compares the newest entry against the previous one and fails on
 //! deterministic-counter regressions (see `vmsim_sim::perf`).
@@ -262,11 +262,23 @@ fn run_one(
 ) -> Result<RunStats, String> {
     let mut manifest = load(source)?;
     apply_env(&mut manifest).map_err(|e| e.to_string())?;
-    // Validate before the journal is opened: creating the journal truncates
-    // `<out>/<name>.journal.jsonl`, and an invalid manifest must never
-    // clobber the journal a previous (interrupted) run left behind.
+    // Validate, resolve the policies and open the progress sink before the
+    // journal is opened: creating the journal truncates
+    // `<out>/<name>.journal.jsonl`, and a run that ends in a usage error
+    // must never clobber the journal a previous (interrupted) run left
+    // behind.
     manifest.validate().map_err(|e| format!("{source}: {e}"))?;
+    resolve_policies(&manifest).map_err(|e| format!("{source}: {e}"))?;
     let mut stats = RunStats::default();
+
+    // An unusable --progress path is a usage error, like an unusable
+    // --resume journal: the user named a stream they cannot have.
+    let progress = match progress_path {
+        Some(path) => {
+            Some(Progress::create(path, &manifest, heartbeat_ops).map_err(|e| e.to_string())?)
+        }
+        None => None,
+    };
 
     // Matrix runs journal each completed cell for crash-safe resumption.
     // An unusable --resume journal is a usage error; a journal that merely
@@ -298,15 +310,6 @@ fn run_one(
             );
         }
     }
-
-    // An unusable --progress path is a usage error, like an unusable
-    // --resume journal: the user named a stream they cannot have.
-    let progress = match progress_path {
-        Some(path) => {
-            Some(Progress::create(path, &manifest, heartbeat_ops).map_err(|e| e.to_string())?)
-        }
-        None => None,
-    };
 
     let t0 = std::time::Instant::now();
     let sup = Supervisor {
@@ -529,16 +532,21 @@ fn cmd_validate(args: &[String]) -> ExitCode {
 fn validate_one(source: &str) -> Result<usize, String> {
     let manifest = load(source)?;
     manifest.validate().map_err(|e| e.to_string())?;
-    let runs = match &manifest.experiment {
-        ExperimentSpec::Matrix(matrix) => {
-            for policy in &matrix.policies {
-                ptemagnet::registry::resolve(policy.name()).map_err(|e| e.to_string())?;
-            }
-            matrix.runs_per_seed() * manifest.seeds.len()
-        }
+    resolve_policies(&manifest)?;
+    Ok(match &manifest.experiment {
+        ExperimentSpec::Matrix(matrix) => matrix.runs_per_seed() * manifest.seeds.len(),
         _ => 1,
-    };
-    Ok(runs)
+    })
+}
+
+/// Checks that every policy a matrix manifest names is in the registry.
+fn resolve_policies(manifest: &ExperimentManifest) -> Result<(), String> {
+    if let ExperimentSpec::Matrix(matrix) = &manifest.experiment {
+        for policy in &matrix.policies {
+            ptemagnet::registry::resolve(policy.name()).map_err(|e| e.to_string())?;
+        }
+    }
+    Ok(())
 }
 
 fn cmd_list() -> ExitCode {

@@ -3,8 +3,7 @@
 //! result.
 //!
 //! This is the single path every experiment takes — the `vmsim` CLI, the
-//! `exp-*` wrapper binaries, and the legacy functions in
-//! [`crate::experiments`] all build a manifest and hand it here. A matrix
+//! server and the examples all build a manifest and hand it here. A matrix
 //! manifest expands to one job per (workload, policy, seed) cell, in
 //! workload-major order (`index = (w·P + p)·S + s`); jobs run on the
 //! deterministic pool ([`crate::parallel`]) and come back in job order, so
@@ -951,8 +950,7 @@ impl ManifestRun {
         }
     }
 
-    /// Renders the result as the paper-style text the corresponding `exp-*`
-    /// binary prints. A degraded run gets a per-cell status listing; any
+    /// Renders the result as the paper-style text `vmsim run` prints. A degraded run gets a per-cell status listing; any
     /// run with quarantined/retried/truncated cells gets the supervisor
     /// summary appended (clean runs are byte-identical to before).
     pub fn report(&self) -> String {

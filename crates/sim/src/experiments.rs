@@ -1,28 +1,23 @@
-//! One function per table/figure of the paper's evaluation.
+//! The typed results of the paper's experiments, and the two experiments
+//! that are not scenario matrices.
 //!
-//! Every matrix-style experiment is now **manifest-driven**: each function
-//! builds the corresponding [`vmsim_config::builtin`] manifest and hands it
-//! to [`crate::driver::run_manifest`], then unwraps the typed outcome. The
-//! manifests reproduce the legacy hand-constructed scenarios exactly (same
-//! benchmarks, co-runners, weights, protocols, seed derivations), so the
-//! results are bit-identical to the pre-manifest implementation — pinned by
-//! the `manifest_parity` integration tests.
+//! Every matrix-style experiment (Table 1, Figures 5–7, Table 4, §6.2, the
+//! THP, SPECint, LLC and hardware studies) is a builtin manifest in
+//! [`vmsim_config::builtin`], run through [`crate::driver::run_manifest`];
+//! its typed outcome is one of the result types defined here.
 //!
-//! Two experiments are not scenario matrices and keep their direct
-//! implementations here: [`sec64`] (the §6.4 allocation-latency
-//! microbenchmark) and [`walk_breakdown`] (raw per-level counter capture,
-//! which also uses a different co-runner seed derivation than the scenario
-//! engine). The driver calls back into them for the `alloc-latency` and
-//! `walk-breakdown` manifest kinds.
+//! Two experiments keep direct implementations: [`sec64`] (the §6.4
+//! allocation-latency microbenchmark) and [`walk_breakdown`] (raw
+//! per-level counter capture, which also uses a different co-runner seed
+//! derivation than the scenario engine). The driver calls back into them
+//! for the `alloc-latency` and `walk-breakdown` manifest kinds.
 
-use serde::{Deserialize, Serialize};
 use vmsim_os::{Machine, MachineConfig};
 use vmsim_types::{GuestVirtAddr, PAGE_SIZE};
 use vmsim_workloads::{BenchId, CoId};
 
 pub use vmsim_config::DEFAULT_MEASURE_OPS;
 
-use crate::driver::{self, Outcome};
 use crate::parallel::{self, Parallelism};
 use crate::scenario::{AllocatorKind, RunMetrics};
 
@@ -35,17 +30,12 @@ pub fn pct_change(from: f64, to: f64) -> f64 {
     }
 }
 
-fn run_builtin(manifest: &vmsim_config::ExperimentManifest) -> driver::ManifestRun {
-    driver::run_manifest(manifest)
-        .unwrap_or_else(|e| panic!("builtin manifest {}: {e}", manifest.name))
-}
-
 // ---------------------------------------------------------------------------
 // Table 1: pagerank + stress-ng vs standalone (default kernel, §3.3)
 // ---------------------------------------------------------------------------
 
 /// Result of the Table 1 study.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table1 {
     /// pagerank running alone in the VM.
     pub standalone: RunMetrics,
@@ -96,21 +86,12 @@ impl Table1 {
     }
 }
 
-/// Runs the Table 1 study (§3.3): fragmentation effects isolated from cache
-/// contention by stopping the co-runner after pagerank's allocation phase.
-pub fn table1(seed: u64, measure_ops: u64) -> Table1 {
-    match run_builtin(&vmsim_config::builtin::table1(seed, measure_ops)).outcome {
-        Outcome::Table1(t) => t,
-        _ => unreachable!("table1 manifest yields a Table1 outcome"),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Figures 5 & 6: all benchmarks + objdet, default vs PTEMagnet (§6.1)
 // ---------------------------------------------------------------------------
 
 /// Per-benchmark pair of runs (default vs PTEMagnet) in one colocation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BenchPair {
     /// Benchmark identity.
     pub name: String,
@@ -128,7 +109,7 @@ impl BenchPair {
 }
 
 /// Result of a figure-style sweep over all benchmarks.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FigureSweep {
     /// Colocation label ("objdet" or "combination").
     pub colocation: String,
@@ -149,31 +130,12 @@ impl FigureSweep {
     }
 }
 
-fn figure(manifest: &vmsim_config::ExperimentManifest) -> FigureSweep {
-    match run_builtin(manifest).outcome {
-        Outcome::Figure(sweep) => sweep,
-        _ => unreachable!("figure manifests yield a Figure outcome"),
-    }
-}
-
-/// Figures 5 and 6: every benchmark colocated with objdet, default vs
-/// PTEMagnet. Figure 5 reads the `host_frag` fields; Figure 6 the
-/// improvements.
-pub fn fig5_fig6(seed: u64, measure_ops: u64) -> FigureSweep {
-    figure(&vmsim_config::builtin::fig6(seed, measure_ops))
-}
-
-/// Figure 7: every benchmark colocated with the combination of co-runners.
-pub fn fig7(seed: u64, measure_ops: u64) -> FigureSweep {
-    figure(&vmsim_config::builtin::fig7(seed, measure_ops))
-}
-
 // ---------------------------------------------------------------------------
 // Table 4: pagerank + objdet, PTEMagnet vs default, co-runner throughout
 // ---------------------------------------------------------------------------
 
 /// Result of the Table 4 study.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table4 {
     /// pagerank + objdet on the default kernel (co-runner runs throughout).
     pub default: RunMetrics,
@@ -215,21 +177,12 @@ impl Table4 {
     }
 }
 
-/// Runs the Table 4 study (§6.3). Unlike §3.3, the co-runner stays running
-/// during measurement (the paper's footnote 2).
-pub fn table4(seed: u64, measure_ops: u64) -> Table4 {
-    match run_builtin(&vmsim_config::builtin::table4(seed, measure_ops)).outcome {
-        Outcome::Table4(t) => t,
-        _ => unreachable!("table4 manifest yields a Table4 outcome"),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // §6.2: incidence of non-allocated pages within reservations
 // ---------------------------------------------------------------------------
 
 /// Reserved-unused incidence for one benchmark (§6.2).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ReservedUnused {
     /// Benchmark name.
     pub name: String,
@@ -239,22 +192,12 @@ pub struct ReservedUnused {
     pub mean_fraction: f64,
 }
 
-/// Runs the §6.2 study over all benchmarks with PTEMagnet (+ objdet, as in
-/// the main evaluation). The paper's finding: never exceeds 0.2 % of the
-/// footprint.
-pub fn sec62(seed: u64, measure_ops: u64) -> Vec<ReservedUnused> {
-    match run_builtin(&vmsim_config::builtin::sec62(seed, measure_ops)).outcome {
-        Outcome::Sec62(rows) => rows,
-        _ => unreachable!("sec62 manifest yields a Sec62 outcome"),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // §6.4: allocation-latency microbenchmark
 // ---------------------------------------------------------------------------
 
 /// Result of the allocation-latency microbenchmark (§6.4).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AllocLatency {
     /// Pages allocated and first-touched.
     pub pages: u64,
@@ -311,7 +254,7 @@ pub fn sec64(pages: u64) -> AllocLatency {
 // ---------------------------------------------------------------------------
 
 /// One row of the THP study: allocator behaviour in one memory condition.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ThpRow {
     /// Allocator label.
     pub allocator: String,
@@ -324,26 +267,13 @@ pub struct ThpRow {
 }
 
 /// Result of the THP study.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ThpStudy {
     /// Rows for fresh and fragmented memory, three allocators each.
     pub rows: Vec<ThpRow>,
     /// Sparse-touch internal fragmentation: resident pages per touched page
     /// for (default, thp, ptemagnet) — THP's hidden memory cost.
     pub sparse_rss_per_touched: [f64; 3],
-}
-
-/// Runs the THP study: pagerank + objdet under (a) fresh memory, where THP
-/// succeeds and performs like PTEMagnet, and (b) externally fragmented
-/// memory (largest free blocks = 16 frames), where order-9 THP allocations
-/// all fail while order-3 PTEMagnet reservations still succeed — the §2.3
-/// argument for fine-grained reservation. Also measures the sparse-touch
-/// internal-fragmentation penalty of THP.
-pub fn thp_study(seed: u64, measure_ops: u64) -> ThpStudy {
-    match run_builtin(&vmsim_config::builtin::thp(seed, measure_ops)).outcome {
-        Outcome::Thp(study) => study,
-        _ => unreachable!("thp manifest yields a Thp outcome"),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -379,44 +309,14 @@ pub fn walk_breakdown(seed: u64, measure_ops: u64) -> Vec<(String, vmsim_cache::
 }
 
 // ---------------------------------------------------------------------------
-// §6.1 zero-overhead claim: the rest of SPEC'17 Integer
-// ---------------------------------------------------------------------------
-
-/// Per-benchmark improvement for the low-TLB-pressure SPECint set (§6.1:
-/// "performance improvement in the range of 0–1 %" and "none of the
-/// applications experience any performance degradation").
-///
-/// Averaged over three seeds — on these tiny-footprint applications the
-/// layout-dependent cache-set noise of a single run is comparable to the
-/// effect size, which is exactly why the paper averages 40 runs.
-pub fn specint_zero_overhead(seed: u64, measure_ops: u64) -> Vec<(String, f64)> {
-    match run_builtin(&vmsim_config::builtin::specint(seed, measure_ops)).outcome {
-        Outcome::Specint(rows) => rows,
-        _ => unreachable!("specint manifest yields a Specint outcome"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Artifact appendix A.3.2: LLC-capacity sensitivity
-// ---------------------------------------------------------------------------
-
-/// Improvement of PTEMagnet (pagerank + objdet) as a function of LLC
-/// capacity. The paper's artifact appendix predicts: *"a larger improvement
-/// can be achieved on a processor with a larger LLC ... more LLC capacity
-/// increases the chances of a cache line with a page table staying in LLC"*.
-pub fn llc_sensitivity(seed: u64, measure_ops: u64, llc_mbs: &[u64]) -> Vec<(u64, f64)> {
-    match run_builtin(&vmsim_config::builtin::llc(seed, measure_ops, llc_mbs)).outcome {
-        Outcome::Llc(rows) => rows,
-        _ => unreachable!("llc manifest yields an Llc outcome"),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Hardware sensitivity: TLB reach and nested-TLB capacity
 // ---------------------------------------------------------------------------
 
-/// One row of the hardware-sensitivity study.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// One row of the hardware-sensitivity study (`hw` builtin): PTEMagnet's
+/// benefit scales with how often walks happen (small STLB ⇒ more walks)
+/// and with how often the second dimension touches host PTEs (tiny nested
+/// TLB ⇒ more hPTE traffic).
+#[derive(Clone, Debug)]
 pub struct HwSensitivityRow {
     /// Which knob was varied ("stlb" or "nested-tlb").
     pub knob: String,
@@ -426,20 +326,6 @@ pub struct HwSensitivityRow {
     pub tlb_miss_ratio: f64,
     /// PTEMagnet's improvement at this setting.
     pub improvement: f64,
-}
-
-/// Sweeps STLB capacity and nested-TLB capacity for pagerank + objdet.
-///
-/// Expected shape: PTEMagnet's benefit scales with how often walks happen
-/// (small STLB ⇒ more walks ⇒ more benefit; the artifact appendix makes the
-/// analogous point about page-walk resources), and with how often the
-/// second dimension actually touches host PTEs (tiny nested TLB ⇒ more
-/// hPTE traffic ⇒ more benefit).
-pub fn hw_sensitivity(seed: u64, measure_ops: u64) -> Vec<HwSensitivityRow> {
-    match run_builtin(&vmsim_config::builtin::hw(seed, measure_ops)).outcome {
-        Outcome::Hw(rows) => rows,
-        _ => unreachable!("hw manifest yields an Hw outcome"),
-    }
 }
 
 #[cfg(test)]

@@ -15,10 +15,10 @@
 //! * [`driver`] — the manifest execution engine: expands a
 //!   `vmsim_config::ExperimentManifest` into scenario runs on the worker
 //!   pool and assembles the typed, paper-shaped outcome. The `vmsim` CLI
-//!   and every `exp-*` binary go through it;
-//! * [`experiments`] — one function per table/figure of the paper
-//!   (Table 1, Figures 5–7, Table 4, §6.2, §6.4), each a thin wrapper over
-//!   the corresponding builtin manifest;
+//!   goes through it;
+//! * [`experiments`] — the typed results of the paper's tables and
+//!   figures, plus the two experiments that are not scenario matrices
+//!   (§6.4 allocation latency and the per-level walk breakdown);
 //! * [`obs`] — scenario-level observability: the [`ObsConfig`] knobs
 //!   (re-exported from `vmsim-config`; `VMSIM_TRACE`, `VMSIM_EPOCH_OPS`)
 //!   and the [`ObservedRun`] wrapper carrying snapshot, epoch time series,
@@ -71,9 +71,8 @@ pub use driver::{
 };
 pub use engine::Colocation;
 pub use experiments::{
-    fig5_fig6, fig7, hw_sensitivity, llc_sensitivity, sec62, sec64, specint_zero_overhead, table1,
-    table4, thp_study, walk_breakdown, AllocLatency, BenchPair, FigureSweep, HwSensitivityRow,
-    ReservedUnused, Table1, Table4, ThpRow, ThpStudy, DEFAULT_MEASURE_OPS,
+    sec64, walk_breakdown, AllocLatency, BenchPair, FigureSweep, HwSensitivityRow, ReservedUnused,
+    Table1, Table4, ThpRow, ThpStudy, DEFAULT_MEASURE_OPS,
 };
 pub use journal::{Journal, JournalEntry};
 pub use obs::{ObsConfig, ObservedRun};

@@ -1,11 +1,9 @@
 //! The perf trajectory: `vmsim perf`, the CI-tracked performance history
 //! of the translation core.
 //!
-//! This module absorbs the `bench-core` measurement logic (the binary is
-//! now a thin wrapper over it): four pinned scenario cells — gcc and mcf
-//! under the default and ptemagnet allocators, fig6 protocol with an
-//! objdet co-runner — plus four wall-clock microkernels. Each cell
-//! reports two ledgers:
+//! It measures four pinned scenario cells — gcc and mcf under the default
+//! and ptemagnet allocators, fig6 protocol with an objdet co-runner — plus
+//! the wall-clock microkernels. Each cell reports two ledgers:
 //!
 //! * **deterministic** — cost-model counters (cycles, TLB traffic, memo
 //!   coverage) and the phase profiler's cycle attribution: identical on
@@ -79,7 +77,7 @@ pub struct PerfCell {
 
 /// One wall-clock microkernel result (informational).
 pub struct Kernel {
-    /// Kernel name (matches the Criterion benches in `benches/harness.rs`).
+    /// Kernel name.
     pub name: &'static str,
     /// Median nanoseconds per operation over three samples.
     pub ns_per_op: f64,
@@ -140,8 +138,7 @@ pub fn run_cells() -> Vec<PerfCell> {
 }
 
 /// Median nanoseconds per op of `op` over `iters` calls, sampled three
-/// times (the same shape as the Criterion benches in `benches/harness.rs`,
-/// scaled down so an entry regenerates in seconds).
+/// times (scaled down so an entry regenerates in seconds).
 fn median_ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
     let mut samples: Vec<f64> = (0..3)
         .map(|_| {
@@ -156,9 +153,9 @@ fn median_ns_per_op(iters: u64, mut op: impl FnMut()) -> f64 {
     samples[1]
 }
 
-/// The microkernels: the three mirroring the `harness.rs` Criterion
-/// benches (cold full walks, memo-hit replays, a batched VMA run) plus a
-/// round-robin touch over an 8-VM multi-tenant host.
+/// The microkernels: cold full walks, memo-hit replays, a batched VMA run,
+/// a round-robin touch over an 8-VM multi-tenant host, and PaRT
+/// take/release scaling.
 pub fn run_kernels() -> Vec<Kernel> {
     let pages = 4096u64;
     let mut out = Vec::new();
@@ -345,101 +342,6 @@ fn part_concurrent_ns(threads: usize, contended: bool) -> f64 {
         .collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[1]
-}
-
-/// Renders the classic `BENCH_core.json` baseline (schema `bench-core-v1`)
-/// — byte-compatible with what the standalone `bench-core` binary wrote.
-#[must_use]
-pub fn baseline_json(cells: &[PerfCell], kernels: &[Kernel]) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"schema\": \"bench-core-v1\",");
-    let _ = writeln!(s, "  \"measure_ops\": {CELL_OPS},");
-    let _ = writeln!(s, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"benchmark\": \"{}\",", c.benchmark);
-        let _ = writeln!(s, "      \"allocator\": \"{}\",", c.allocator);
-        let _ = writeln!(s, "      \"deterministic\": {{");
-        let _ = writeln!(s, "        \"cycles\": {},", c.cycles);
-        let _ = writeln!(s, "        \"tlb_lookups\": {},", c.tlb_lookups);
-        let _ = writeln!(s, "        \"tlb_misses\": {},", c.tlb_misses);
-        let _ = writeln!(s, "        \"memo_hits\": {},", c.memo.hits);
-        let _ = writeln!(s, "        \"memo_streak_hits\": {},", c.memo.streak_hits);
-        let _ = writeln!(s, "        \"memo_fills\": {},", c.memo.fills);
-        let _ = writeln!(s, "        \"naive_walks\": {},", c.memo.naive_walks);
-        let _ = writeln!(s, "        \"memo_clears\": {}", c.memo.clears);
-        let _ = writeln!(s, "      }},");
-        let _ = writeln!(s, "      \"informational\": {{");
-        let _ = writeln!(s, "        \"wall_ms\": {:.1}", c.wall_ms);
-        let _ = writeln!(s, "      }}");
-        let _ = writeln!(s, "    }}{comma}");
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"kernels\": [");
-    for (i, k) in kernels.iter().enumerate() {
-        let comma = if i + 1 < kernels.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{ \"name\": \"{}\", \"informational_ns_per_op\": {:.1} }}{comma}",
-            k.name, k.ns_per_op
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
-}
-
-/// Checks freshly measured cells against a `bench-core-v1` baseline file's
-/// `naive_walks` counters (the >5% memo-coverage gate the standalone
-/// `bench-core --check` applies). Returns the failure count.
-#[must_use]
-pub fn check_baseline(cells: &[PerfCell], baseline_text: &str) -> u32 {
-    let mut expected = Vec::new();
-    let (mut bench, mut alloc) = (None::<String>, None::<String>);
-    for line in baseline_text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"benchmark\": \"") {
-            bench = rest.split('"').next().map(str::to_string);
-        } else if let Some(rest) = line.strip_prefix("\"allocator\": \"") {
-            alloc = rest.split('"').next().map(str::to_string);
-        } else if let Some(rest) = line.strip_prefix("\"naive_walks\": ") {
-            let n: u64 = rest
-                .trim_end_matches(',')
-                .parse()
-                .expect("baseline naive_walks must be an integer");
-            if let (Some(b), Some(a)) = (bench.take(), alloc.take()) {
-                expected.push((b, a, n));
-            }
-        }
-    }
-    assert!(
-        !expected.is_empty(),
-        "baseline contains no cells — regenerate it"
-    );
-    let mut failed = 0u32;
-    for (bench, alloc, base_walks) in expected {
-        let Some(cell) = cells
-            .iter()
-            .find(|c| c.benchmark == bench && c.allocator == alloc)
-        else {
-            eprintln!("MISSING: baseline cell {bench} x {alloc} not tracked anymore");
-            failed += 1;
-            continue;
-        };
-        let walks = cell.memo.naive_walks;
-        // The gate: >5% more naive-path walks than the baseline means memo
-        // coverage regressed. Fewer walks is an improvement — regenerate
-        // the baseline to lock it in.
-        let limit = base_walks + base_walks / 20;
-        let verdict = if walks > limit { "FAIL" } else { "ok" };
-        eprintln!(
-            "{verdict}: {bench} x {alloc}: naive_walks {walks} (baseline {base_walks}, limit {limit})"
-        );
-        failed += u32::from(walks > limit);
-    }
-    failed
 }
 
 /// Renders one trajectory entry as a single JSON line (no trailing
@@ -637,15 +539,13 @@ pub fn check_entries(entries: &[String]) -> Result<u32, String> {
 
 const PERF_USAGE: &str = "usage:
   vmsim perf [--out FILE]        run the tracked cells, append a trajectory entry
-  vmsim perf --check [--out FILE]  compare the two newest entries (no run)
-  vmsim perf --baseline FILE     run the tracked cells, write a bench-core-v1 baseline";
+  vmsim perf --check [--out FILE]  compare the two newest entries (no run)";
 
 /// The `vmsim perf` subcommand.
 #[must_use]
 pub fn cmd_perf(args: &[String]) -> ExitCode {
     let mut check = false;
     let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -657,22 +557,11 @@ pub fn cmd_perf(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--baseline" => match it.next() {
-                Some(path) => baseline = Some(path.clone()),
-                None => {
-                    eprintln!("vmsim perf: --baseline needs a file\n{PERF_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             other => {
                 eprintln!("vmsim perf: unknown argument: {other}\n{PERF_USAGE}");
                 return ExitCode::from(2);
             }
         }
-    }
-    if check && baseline.is_some() {
-        eprintln!("vmsim perf: --check and --baseline are mutually exclusive\n{PERF_USAGE}");
-        return ExitCode::from(2);
     }
     let path = out.unwrap_or_else(|| TRAJECTORY_PATH.to_string());
 
@@ -721,20 +610,6 @@ pub fn cmd_perf(args: &[String]) -> ExitCode {
             c.wall_ms,
             c.profile.attributed_fraction() * 100.0
         );
-    }
-
-    if let Some(path) = baseline {
-        let json = baseline_json(&cells, &kernels);
-        return match std::fs::write(&path, &json) {
-            Ok(()) => {
-                eprintln!("wrote {path}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("vmsim perf: cannot write {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
     }
 
     // Append to the trajectory. A missing file starts a fresh history; a
@@ -855,21 +730,5 @@ mod tests {
             fake_entry(1000, 1)
         );
         assert!(read_trajectory(&squashed).is_err());
-    }
-
-    #[test]
-    fn baseline_renderer_matches_the_bench_core_schema() {
-        let cells = [fake_cell("gcc", "default", 1000)];
-        let kernels = [Kernel {
-            name: "full_walk_cold",
-            ns_per_op: 300.0,
-        }];
-        let text = baseline_json(&cells, &kernels);
-        let doc = json::parse(&text).expect("baseline parses");
-        assert_eq!(
-            doc.get("schema").and_then(|s| s.as_str()),
-            Some("bench-core-v1")
-        );
-        assert_eq!(check_baseline(&cells, &text), 0, "self-check passes");
     }
 }

@@ -2,7 +2,6 @@
 
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
 use vmsim_os::{GuestFrameAllocator, Machine, MachineConfig};
 use vmsim_types::{FaultPlan, Result, RunError};
 use vmsim_workloads::{benchmark, corunner, BenchId, CoId, Phase};
@@ -75,7 +74,7 @@ impl WallBudget {
 }
 
 /// Which guest frame allocator a run uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllocatorKind {
     /// The stock Linux-like order-0 allocator (the paper's baseline).
     Default,
@@ -113,7 +112,7 @@ impl core::fmt::Display for AllocatorKind {
 
 /// Everything measured about one run. Field names follow the rows of the
 /// paper's Tables 1 and 4.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunMetrics {
     /// Benchmark name.
     pub benchmark: String,
@@ -192,8 +191,8 @@ pub struct Scenario {
     benchmark: BenchId,
     corunners: Vec<CoId>,
     allocator: AllocatorKind,
-    /// Overrides `allocator` with an arbitrary implementation (used by the
-    /// ablation benches, e.g. non-standard reservation granularities).
+    /// Overrides `allocator` with an arbitrary implementation (the driver
+    /// passes registry policies such as `granular:N` through it).
     custom_allocator: Option<Box<dyn GuestFrameAllocator>>,
     stop_corunners_after_init: bool,
     measure_ops: u64,

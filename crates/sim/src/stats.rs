@@ -5,13 +5,11 @@
 //! deterministic per seed, so seeds play the role of runs: this module
 //! replicates a scenario across seeds and summarizes the distribution.
 
-use serde::{Deserialize, Serialize};
-
 use crate::parallel::{self, Parallelism};
 use crate::scenario::RunMetrics;
 
 /// Summary statistics of one metric across replicated runs.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
     /// Number of replications.
     pub n: usize,
@@ -80,7 +78,7 @@ impl core::fmt::Display for Summary {
 }
 
 /// Replicated run results across seeds.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Replication {
     /// One result per seed, in seed order.
     pub runs: Vec<RunMetrics>,
@@ -197,7 +195,7 @@ mod tests {
         // stddev ≤ 2 % over 40 full runs. At this deliberately tiny unit-
         // test scale (20k ops vs the default 300k) sampling noise is
         // larger, so the asserted bound is looser; the full-scale bound is
-        // exercised by the exp-* binaries.
+        // exercised by `vmsim run manifests/variance.json`.
         let rep = Replication::across(0..4, |seed| {
             Scenario::new(BenchId::Gcc)
                 .machine(MachineConfig::paper(1, 128))

@@ -73,9 +73,23 @@ fn run_with_dangling_out_flag_exits_2() {
     assert!(stderr_of(&out).contains("--out needs a directory"));
 }
 
+/// `vmsim validate <path>`, or `vmsim run <path>` into `dir`.
+fn validate_or_run(sub: &str, path: &str, dir: &Path) -> Output {
+    match sub {
+        "run" => vmsim(&["run", path, "--out", &dir.to_string_lossy()]),
+        _ => vmsim(&[sub, path]),
+    }
+}
+
 #[test]
 fn missing_manifest_is_a_diagnostic_not_a_panic() {
-    let out = vmsim(&["run", "no-such-manifest-anywhere"]);
+    let dir = scratch("missing");
+    let out = vmsim(&[
+        "run",
+        "no-such-manifest-anywhere",
+        "--out",
+        &dir.to_string_lossy(),
+    ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr_of(&out).contains("no such file and no builtin manifest"));
 }
@@ -85,7 +99,7 @@ fn malformed_manifest_fails_validate_and_run() {
     let dir = scratch("malformed");
     let path = write_manifest(&dir, "broken.json", "{\"name\": \"oops\", \"seeds\": [");
     for sub in ["validate", "run"] {
-        let out = vmsim(&[sub, &path]);
+        let out = validate_or_run(sub, &path, &dir);
         assert_ne!(out.status.code(), Some(0), "vmsim {sub} must fail");
         assert!(
             stderr_of(&out).contains(&path),
@@ -100,7 +114,7 @@ fn unknown_policy_is_rejected_with_catalog() {
     let body = table4_json().replace("\"ptemagnet\"", "\"wizardry\"");
     let path = write_manifest(&dir, "policy.json", &body);
     for sub in ["validate", "run"] {
-        let out = vmsim(&[sub, &path]);
+        let out = validate_or_run(sub, &path, &dir);
         assert_ne!(out.status.code(), Some(0), "vmsim {sub} must fail");
         let err = stderr_of(&out);
         assert!(
@@ -118,7 +132,7 @@ fn unknown_fault_kind_is_rejected() {
     let body = table4_json().replacen("\"faults\": null", "\"faults\": {\"meteor\": 1}", 1);
     let path = write_manifest(&dir, "faultkind.json", &body);
     for sub in ["validate", "run"] {
-        let out = vmsim(&[sub, &path]);
+        let out = validate_or_run(sub, &path, &dir);
         assert_ne!(out.status.code(), Some(0), "vmsim {sub} must fail");
         let err = stderr_of(&out);
         assert!(
@@ -269,15 +283,53 @@ fn invalid_manifest_never_clobbers_an_existing_journal() {
     assert!(before.len() > 100, "journal holds the completed cell");
 
     // A rerun with a *broken* manifest of the same name must fail before
-    // the journal is opened for truncation.
-    let body = table4_json()
-        .replace("\"table4\"", "\"smoke\"")
-        .replace("\"ptemagnet\"", "\"wizardry\"");
-    let path = write_manifest(&dir, "bad-smoke.json", &body);
-    let out = vmsim(&["run", &path, "--out", &dir.to_string_lossy()]);
-    assert_ne!(out.status.code(), Some(0));
+    // the journal is opened for truncation: one that does not parse, one
+    // that fails validation, and one naming a policy the registry lacks.
+    let renamed = table4_json().replacen("\"name\": \"table4\"", "\"name\": \"smoke\"", 1);
+    assert_ne!(renamed, table4_json(), "rename must have applied");
+    for (tag, body) in [
+        ("parse", renamed.replace("\"table4\"", "\"no-such-report\"")),
+        (
+            "validate",
+            renamed.replacen("\"measure_ops\": ", "\"measure_ops\": 0, \"x\": ", 1),
+        ),
+        ("policy", renamed.replace("\"ptemagnet\"", "\"wizardry\"")),
+    ] {
+        let path = write_manifest(&dir, &format!("bad-smoke-{tag}.json"), &body);
+        let out = vmsim(&["run", &path, "--out", &dir.to_string_lossy()]);
+        assert_eq!(out.status.code(), Some(2), "{tag}: {}", stderr_of(&out));
+    }
     let after = std::fs::read(&journal).expect("journal still exists");
     assert_eq!(before, after, "invalid input must not touch the journal");
+}
+
+#[test]
+fn unwritable_progress_path_never_clobbers_an_existing_journal() {
+    let dir = scratch("progress-clobber");
+    // Leave a (crashed) run's journal behind.
+    let out = vmsim_env(
+        &["run", "smoke", "--out", &dir.to_string_lossy()],
+        &[("VMSIM_CHAOS_CELL", "1")],
+    );
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr_of(&out));
+    let journal = dir.join("smoke.journal.jsonl");
+    let before = std::fs::read(&journal).expect("journal survives the crash");
+    assert!(before.len() > 100, "journal holds the completed cell");
+
+    // A rerun whose --progress stream cannot be created is a usage error,
+    // and it must fail before the journal is opened for truncation.
+    let unwritable = dir.join("no-such-dir").join("p.jsonl");
+    let out = vmsim(&[
+        "run",
+        "smoke",
+        "--out",
+        &dir.to_string_lossy(),
+        "--progress",
+        &unwritable.to_string_lossy(),
+    ]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    let after = std::fs::read(&journal).expect("journal still exists");
+    assert_eq!(before, after, "a usage error must not touch the journal");
 }
 
 #[test]
@@ -336,9 +388,6 @@ fn perf_unknown_argument_exits_2() {
 
     let out = vmsim(&["perf", "--out"]);
     assert_eq!(out.status.code(), Some(2), "dangling --out");
-
-    let out = vmsim(&["perf", "--check", "--baseline", "x.json"]);
-    assert_eq!(out.status.code(), Some(2), "contradictory modes");
 }
 
 #[test]
@@ -388,14 +437,17 @@ fn perf_check_needs_two_entries_to_compare() {
 fn progress_flag_misuse_is_a_usage_error() {
     let dir = scratch("progress-misuse");
     let manifest = write_manifest(&dir, "t4.json", &table4_json());
+    let out_dir = dir.to_string_lossy();
 
-    let out = vmsim(&["run", &manifest, "--progress"]);
+    let out = vmsim(&["run", &manifest, "--out", &out_dir, "--progress"]);
     assert_eq!(out.status.code(), Some(2), "dangling --progress");
 
     let unwritable = dir.join("no-such-dir").join("p.jsonl");
     let out = vmsim(&[
         "run",
         &manifest,
+        "--out",
+        &out_dir,
         "--progress",
         &unwritable.to_string_lossy(),
     ]);
@@ -406,6 +458,8 @@ fn progress_flag_misuse_is_a_usage_error() {
         "run",
         &manifest,
         &manifest,
+        "--out",
+        &out_dir,
         "--progress",
         &dir.join("p.jsonl").to_string_lossy(),
     ]);
@@ -421,7 +475,10 @@ fn malformed_heartbeat_env_is_a_usage_error() {
     let dir = scratch("heartbeat-env");
     let manifest = write_manifest(&dir, "t4.json", &table4_json());
     for bad in ["0", "x", "-5"] {
-        let out = vmsim_env(&["run", &manifest], &[("VMSIM_HEARTBEAT_OPS", bad)]);
+        let out = vmsim_env(
+            &["run", &manifest, "--out", &dir.to_string_lossy()],
+            &[("VMSIM_HEARTBEAT_OPS", bad)],
+        );
         assert_eq!(out.status.code(), Some(2), "VMSIM_HEARTBEAT_OPS={bad}");
         assert!(
             stderr_of(&out).contains("VMSIM_HEARTBEAT_OPS"),
@@ -440,7 +497,7 @@ fn manifest_with_out_of_range_threads_exits_2() {
         // `run` treats an invalid manifest as a usage error (exit 2);
         // `validate` reports it as a validation failure (exit 1). Both
         // must carry the range diagnostic and neither may succeed.
-        let out = vmsim(&["run", &path]);
+        let out = vmsim(&["run", &path, "--out", &dir.to_string_lossy()]);
         assert_eq!(out.status.code(), Some(2), "vmsim run threads={bad}");
         assert!(
             stderr_of(&out).contains("threads must be in 1..=64"),
@@ -460,7 +517,10 @@ fn malformed_guest_threads_env_is_a_usage_error() {
     let dir = scratch("guest-threads-env");
     let manifest = write_manifest(&dir, "t4.json", &table4_json());
     for bad in ["abc", "0", "65", "-1", "4.5"] {
-        let out = vmsim_env(&["run", &manifest], &[("VMSIM_GUEST_THREADS", bad)]);
+        let out = vmsim_env(
+            &["run", &manifest, "--out", &dir.to_string_lossy()],
+            &[("VMSIM_GUEST_THREADS", bad)],
+        );
         assert_eq!(out.status.code(), Some(2), "VMSIM_GUEST_THREADS={bad}");
         assert!(
             stderr_of(&out).contains("VMSIM_GUEST_THREADS"),

@@ -10,6 +10,7 @@
 //!   byte-identical and writes a parseable heartbeat stream whose op-space
 //!   cadence (`VMSIM_HEARTBEAT_OPS`) is reproducible run to run.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -136,8 +137,10 @@ fn cli_progress_stream_leaves_results_byte_identical_and_reproduces_cadence() {
     let plain = std::fs::read(plain_dir.join("smoke.json")).expect("plain results");
 
     // Two streamed runs: results byte-identical to the plain run, streams
-    // parse, and the op-space cadence reproduces exactly (wall-derived
-    // fields — ops/sec, ETA — are free to differ).
+    // parse, and each cell's op-space cadence reproduces exactly. Cells
+    // run on the worker pool, so beats of different cells interleave in
+    // completion order; only the per-cell sequence is deterministic.
+    // Wall-derived fields — ops/sec, ETA — are free to differ.
     let mut cadences = Vec::new();
     for tag in ["a", "b"] {
         let out_dir = dir.join(format!("streamed-{tag}"));
@@ -156,15 +159,15 @@ fn cli_progress_stream_leaves_results_byte_identical_and_reproduces_cadence() {
         let header = json::parse(lines.next().expect("header")).expect("header parses");
         assert_eq!(header.get("progress").and_then(json::Json::as_u64), Some(1));
         assert!(header.get("manifest_hash").is_some());
-        let mut cadence = Vec::new();
+        let mut cadence: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
         let mut statuses = 0usize;
         for line in lines {
             let doc = json::parse(line).expect("stream line parses");
             if doc.get("status").is_some() {
                 statuses += 1;
             } else {
-                cadence.push((
-                    doc.get("cell").and_then(json::Json::as_u64).expect("cell"),
+                let cell = doc.get("cell").and_then(json::Json::as_u64).expect("cell");
+                cadence.entry(cell).or_default().push((
                     doc.get("ops_done")
                         .and_then(json::Json::as_u64)
                         .expect("ops_done"),
@@ -178,7 +181,9 @@ fn cli_progress_stream_leaves_results_byte_identical_and_reproduces_cadence() {
         }
         // smoke = 2 cells x 5000 ops at a 1000-op cadence: several pulses
         // per cell plus one "done" status line per cell.
-        assert!(cadence.len() >= 8, "too few heartbeats: {cadence:?}");
+        let beats: usize = cadence.values().map(Vec::len).sum();
+        assert!(beats >= 8, "too few heartbeats: {cadence:?}");
+        assert_eq!(cadence.len(), 2, "both cells beat: {cadence:?}");
         assert_eq!(statuses, 2, "one terminal status line per cell");
         cadences.push(cadence);
     }

@@ -14,7 +14,6 @@
 //! type distinctions and intra-space arithmetic.
 
 use crate::page::{GROUP_PAGES, PAGE_SHIFT, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 
 /// Abstraction over the page-number newtypes of all four address spaces.
 ///
@@ -41,9 +40,7 @@ macro_rules! address_space {
         page $page:ident
     ) => {
         $(#[$addr_meta])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $addr(u64);
 
         impl $addr {
@@ -133,9 +130,7 @@ macro_rules! address_space {
         }
 
         $(#[$page_meta])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $page(u64);
 
         impl $page {

@@ -1,9 +1,7 @@
 //! Shared error type for memory-management operations across the workspace.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors produced by allocators, page tables, and OS models.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum MemError {
     /// The physical memory pool cannot satisfy the request.

@@ -14,8 +14,6 @@
 //! buddy allocator — the lowest layer that consumes injections — may depend
 //! only on this crate.
 
-use serde::{Deserialize, Serialize};
-
 /// A declarative description of the faults to inject into a run.
 ///
 /// All rates are per-relevant-operation probabilities in `[0, 1]`; all
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// n-th memory operation). The default plan injects nothing, and a plan
 /// whose [`is_zero`](Self::is_zero) holds is guaranteed not to perturb a run
 /// at all — the injector never draws from its generator for zero rates.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the injector's own generator, mixed with the run seed.
     pub seed: u64,

@@ -7,13 +7,11 @@
 //! a panic abort the whole matrix, so the taxonomy must be serializable,
 //! comparable, and cheap to clone.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::MemError;
 
 /// Why one experiment cell failed. Produced by the supervised runtime in
 /// `vmsim-sim`; serialized into results artifacts and run journals.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum RunError {
     /// The simulated machine (or workload code driving it) panicked; the

@@ -1,12 +1,10 @@
 //! The abstract operation stream emitted by workloads.
 
-use serde::{Deserialize, Serialize};
-
 /// One abstract memory-management/access operation.
 ///
 /// Regions are workload-local handles; the simulation engine maps
 /// (process, region) to actual guest-virtual placements via `mmap`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
     /// Allocate a `pages`-page region of virtual address space.
     Alloc {
@@ -36,7 +34,7 @@ pub enum Op {
 /// The paper's §3.3 methodology stops the co-runner once the benchmark has
 /// *finished allocating* (initialized its data structures); the engine uses
 /// this marker to reproduce that protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Still allocating/initializing data structures.
     Init,

@@ -4,15 +4,18 @@
 //!
 //! Run with: `cargo run --release --example fragmentation_report [measure_ops]`
 
-use ptemagnet_sim::sim::{report, table1};
+use ptemagnet_sim::sim::driver::{run_manifest, Outcome};
 
 fn main() {
     let ops: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(80_000);
-    let t = table1(0, ops);
-    print!("{}", report::format_table1(&t));
+    let run = run_manifest(&vmsim_config::builtin::table1(0, ops)).expect("builtin manifest");
+    print!("{}", run.report());
+    let Outcome::Table1(t) = run.outcome else {
+        unreachable!("the table1 manifest yields a Table1 outcome")
+    };
     println!();
     println!("Reading the table: colocation leaves cache and TLB miss counts flat but");
     println!(

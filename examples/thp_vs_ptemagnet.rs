@@ -9,15 +9,15 @@
 //!
 //! Run with: `cargo run --release --example thp_vs_ptemagnet [measure_ops]`
 
-use ptemagnet_sim::sim::{report, thp_study};
+use ptemagnet_sim::sim::driver::run_manifest;
 
 fn main() {
     let ops: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(60_000);
-    let study = thp_study(0, ops);
-    print!("{}", report::format_thp(&study));
+    let run = run_manifest(&vmsim_config::builtin::thp(0, ops)).expect("builtin manifest");
+    print!("{}", run.report());
     println!();
     println!("Act 1 (fresh): THP and PTEMagnet both pin host-PT fragmentation to ~1;");
     println!("THP additionally shortens guest walks, so it can edge ahead — when it works.");
